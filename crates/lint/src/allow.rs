@@ -14,8 +14,8 @@ use crate::rules::is_known_rule;
 /// The registered wall-clock boundary: the only library/binary sources
 /// where a `D001` allow is legitimate. Everything here is a host-side
 /// seam — profiling that feeds run manifests, the bench timing harness,
-/// or the daemon's socket-lifetime timeouts — and none of it feeds
-/// simulation state. A `D001` allow anywhere else is L004: either route
+/// or the obs clock the daemon's socket deadlines read — and none of it
+/// feeds simulation state. A `D001` allow anywhere else is L004: either route
 /// the timing need through one of these seams, or (for a genuinely new
 /// boundary) extend this registry in the same change that adds the read.
 pub const WALL_CLOCK_BOUNDARY: &[&str] = &[
@@ -28,13 +28,13 @@ pub const WALL_CLOCK_BOUNDARY: &[&str] = &[
 ];
 
 /// The registered lock-nesting boundary: the only library/binary
-/// sources where a `C001` allow is legitimate. The work-stealing pool's
-/// injector→local refill deliberately holds both queue locks for one
-/// batch move in a fixed order; that is the whole list. A `C001` allow
-/// anywhere else is L005: restructure to one lock at a time (collect
-/// under the first guard, drop it, then apply), or — for a genuinely
-/// new two-tier structure with a documented lock order — extend this
-/// registry in the same change.
+/// sources where a `C001` allow is legitimate. No source nests locks
+/// today (the pool claims jobs from one atomic index); the pool module
+/// stays the one registered path. A `C001` allow anywhere else is L005:
+/// restructure to one lock at a time (collect under the first guard,
+/// drop it, then apply), or — for a genuinely new two-tier structure
+/// with a documented lock order — extend this registry in the same
+/// change.
 pub const LOCK_NEST_BOUNDARY: &[&str] = &["crates/runner/src/pool.rs"];
 
 /// One parsed allow comment.

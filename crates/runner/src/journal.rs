@@ -4,8 +4,9 @@
 //! journal to one exact sweep (a hash of every job's cache key plus the
 //! code version); every following line records one finished job — its
 //! key, label, seed, retry count, and either the full result value or the
-//! failure that quarantined it. Appends are flushed and fsync'd, so a
-//! `kill -9` loses at most the job that was being written.
+//! failure that quarantined it. The file handling — atomic creation,
+//! fsync'd one-line appends, torn-tail recovery — is the shared
+//! [`AppendLog`]; this module holds the record codec and the header check.
 //!
 //! On [`SweepJournal::resume`] the file is replayed: a torn or corrupt
 //! tail (the partially written last line of a crash) is detected,
@@ -15,13 +16,13 @@
 //! the result cache disabled, and a resumed sweep merges to byte-identical
 //! aggregates (JSON round-trips are exact).
 
-use crate::cache::{atomic_write, fnv64};
+use crate::append_log::AppendLog;
+use crate::cache::fnv64;
 use crate::json::Json;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::fs::{self, File, OpenOptions};
-use std::io::{self, Write};
-use std::path::{Path, PathBuf};
+use std::io;
+use std::path::Path;
 
 /// First header field, guarding against feeding some other JSONL file in.
 pub const JOURNAL_MAGIC: &str = "liteworp-sweep-journal";
@@ -192,37 +193,27 @@ pub struct Recovered {
     pub torn_bytes: usize,
 }
 
-/// An open, appendable sweep journal.
+/// An open, appendable sweep journal: the entry codec and the header
+/// identity check on top of an [`AppendLog`].
 #[derive(Debug)]
 pub struct SweepJournal {
-    path: PathBuf,
-    file: File,
+    log: AppendLog,
 }
 
 impl SweepJournal {
-    fn header_line(sweep_id: u64, jobs: usize) -> String {
+    /// Creates a fresh journal for a sweep of `jobs` jobs, replacing any
+    /// existing file atomically (temp file + rename), then reopens it for
+    /// fsync'd appends.
+    pub fn create(path: &Path, sweep_id: u64, jobs: usize) -> io::Result<SweepJournal> {
         let header = Json::object([
             ("magic", Json::from(JOURNAL_MAGIC)),
             ("version", Json::from(JOURNAL_VERSION)),
             ("sweep", Json::from(format!("{sweep_id:016x}"))),
             ("jobs", Json::from(jobs)),
-        ]);
-        header.dump() + "\n"
-    }
-
-    /// Creates a fresh journal for a sweep of `jobs` jobs, replacing any
-    /// existing file atomically (temp file + rename), then reopens it for
-    /// fsync'd appends.
-    pub fn create(path: &Path, sweep_id: u64, jobs: usize) -> io::Result<SweepJournal> {
-        if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-            fs::create_dir_all(parent)?;
-        }
-        atomic_write(path, Self::header_line(sweep_id, jobs).as_bytes())?;
-        let file = OpenOptions::new().append(true).open(path)?;
-        Ok(SweepJournal {
-            path: path.to_path_buf(),
-            file,
-        })
+        ])
+        .dump()
+            + "\n";
+        AppendLog::create(path, header.as_bytes()).map(|log| SweepJournal { log })
     }
 
     /// Reopens an existing journal, verifying it records exactly this
@@ -231,95 +222,85 @@ impl SweepJournal {
     /// A torn tail — the half-written last line a crash leaves behind, or
     /// any corrupt suffix — ends the replay: everything after the last
     /// fully parsed line is truncated from the file so appends resume from
-    /// a clean boundary. The valid prefix is never discarded.
+    /// a clean boundary. The valid prefix is never discarded. A header
+    /// naming another sweep is rejected with the file untouched; a torn
+    /// header leaves nothing to keep, so the file is cut to empty and
+    /// the resume is rejected.
     pub fn resume(
         path: &Path,
         sweep_id: u64,
         jobs: usize,
     ) -> Result<(SweepJournal, Recovered), JournalError> {
-        let text = fs::read_to_string(path)?;
-        let mut good_bytes = 0usize;
-        let mut lines = text.split_inclusive('\n');
-        let header_line = lines
-            .next()
-            .filter(|l| l.ends_with('\n'))
-            .ok_or_else(|| JournalError::Header("empty or truncated header".into()))?;
-        let header = Json::parse(header_line.trim_end())
-            .map_err(|e| JournalError::Header(format!("unparsable header: {e}")))?;
-        if header.get("magic").and_then(Json::as_str) != Some(JOURNAL_MAGIC) {
-            return Err(JournalError::Header("not a sweep journal".into()));
-        }
-        if header.get("version").and_then(Json::as_u64) != Some(JOURNAL_VERSION) {
-            return Err(JournalError::Header("unsupported journal version".into()));
-        }
-        let recorded = header
-            .get("sweep")
-            .and_then(Json::as_str)
-            .and_then(|s| u64::from_str_radix(s, 16).ok())
-            .ok_or_else(|| JournalError::Header("missing sweep id".into()))?;
-        if recorded != sweep_id {
-            return Err(JournalError::Header(format!(
-                "journal records sweep {recorded:016x}, this run is {sweep_id:016x} \
-                 (different jobs, scenario, or code version)"
-            )));
-        }
-        if header.get("jobs").and_then(Json::as_u64) != Some(jobs as u64) {
-            return Err(JournalError::Header("job count changed".into()));
-        }
-        good_bytes += header_line.len();
-
+        let mut header_seen = false;
         let mut entries = BTreeMap::new();
-        for line in lines {
-            if !line.ends_with('\n') {
-                break; // torn final line: the crash interrupted this write
+        let (log, torn_bytes) = AppendLog::recover(path, |line| -> Result<bool, JournalError> {
+            if !header_seen {
+                check_header(line, sweep_id, jobs)?;
+                header_seen = true;
+                return Ok(true);
             }
-            let Some(entry) = Json::parse(line.trim_end())
+            let Some(entry) = Json::parse(line)
                 .ok()
                 .as_ref()
                 .and_then(JournalEntry::from_json)
             else {
-                break; // corrupt line: stop replay, truncate the rest
+                return Ok(false); // corrupt line: stop replay, truncate the rest
             };
             entries.insert(entry.key, entry);
-            good_bytes += line.len();
+            Ok(true)
+        })?;
+        if !header_seen {
+            return Err(JournalError::Header("empty or truncated header".into()));
         }
-        let torn_bytes = text.len() - good_bytes;
-        if torn_bytes > 0 {
-            let file = OpenOptions::new().write(true).open(path)?;
-            file.set_len(good_bytes as u64)?;
-            file.sync_data()?;
-        }
-        let file = OpenOptions::new().append(true).open(path)?;
         Ok((
-            SweepJournal {
-                path: path.to_path_buf(),
-                file,
-            },
+            SweepJournal { log },
             Recovered {
                 entries,
-                torn_bytes,
+                torn_bytes: torn_bytes as usize,
             },
         ))
     }
 
-    /// Appends one entry, flushed and fsync'd before returning, so a
-    /// subsequent crash cannot lose it.
-    pub fn append(&mut self, entry: &JournalEntry) -> io::Result<()> {
-        let line = entry.to_json().dump() + "\n";
-        self.file.write_all(line.as_bytes())?;
-        self.file.flush()?;
-        self.file.sync_data()
+    /// Appends one entry, fsync'd before returning, so a subsequent crash
+    /// cannot lose it. Safe to call from many threads at once.
+    pub fn append(&self, entry: &JournalEntry) -> io::Result<()> {
+        self.log.append(&entry.to_json())
     }
+}
 
-    /// The journal's path.
-    pub fn path(&self) -> &Path {
-        &self.path
+/// Verifies that a header line names this exact sweep.
+fn check_header(line: &str, sweep_id: u64, jobs: usize) -> Result<(), JournalError> {
+    let header =
+        Json::parse(line).map_err(|e| JournalError::Header(format!("unparsable header: {e}")))?;
+    if header.get("magic").and_then(Json::as_str) != Some(JOURNAL_MAGIC) {
+        return Err(JournalError::Header("not a sweep journal".into()));
     }
+    if header.get("version").and_then(Json::as_u64) != Some(JOURNAL_VERSION) {
+        return Err(JournalError::Header("unsupported journal version".into()));
+    }
+    let recorded = header
+        .get("sweep")
+        .and_then(Json::as_str)
+        .and_then(|s| u64::from_str_radix(s, 16).ok())
+        .ok_or_else(|| JournalError::Header("missing sweep id".into()))?;
+    if recorded != sweep_id {
+        return Err(JournalError::Header(format!(
+            "journal records sweep {recorded:016x}, this run is {sweep_id:016x} \
+             (different jobs, scenario, or code version)"
+        )));
+    }
+    if header.get("jobs").and_then(Json::as_u64) != Some(jobs as u64) {
+        return Err(JournalError::Header("job count changed".into()));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs::{self, OpenOptions};
+    use std::io::Write;
+    use std::path::PathBuf;
 
     fn tempfile(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -372,7 +353,7 @@ mod tests {
     fn create_append_resume_round_trip() {
         let path = tempfile("roundtrip");
         let id = sweep_id(&[10, 11, 12], "v");
-        let mut j = SweepJournal::create(&path, id, 3).unwrap();
+        let j = SweepJournal::create(&path, id, 3).unwrap();
         j.append(&entry(10, 0)).unwrap();
         j.append(&entry(11, 1)).unwrap();
         drop(j);
@@ -388,7 +369,7 @@ mod tests {
     fn torn_tail_is_truncated_not_parsed() {
         let path = tempfile("torn");
         let id = sweep_id(&[1, 2], "v");
-        let mut j = SweepJournal::create(&path, id, 2).unwrap();
+        let j = SweepJournal::create(&path, id, 2).unwrap();
         j.append(&entry(1, 0)).unwrap();
         drop(j);
         // Simulate a crash mid-append: a partial line with no newline.
@@ -396,7 +377,7 @@ mod tests {
         f.write_all(b"{\"key\":\"0000").unwrap();
         drop(f);
         let before = fs::metadata(&path).unwrap().len();
-        let (mut j, rec) = SweepJournal::resume(&path, id, 2).unwrap();
+        let (j, rec) = SweepJournal::resume(&path, id, 2).unwrap();
         assert_eq!(rec.entries.len(), 1, "only the complete entry survives");
         assert_eq!(rec.torn_bytes, 12);
         assert!(fs::metadata(&path).unwrap().len() < before, "tail removed");
@@ -413,7 +394,7 @@ mod tests {
     fn later_entries_override_earlier_ones() {
         let path = tempfile("override");
         let id = sweep_id(&[5], "v");
-        let mut j = SweepJournal::create(&path, id, 1).unwrap();
+        let j = SweepJournal::create(&path, id, 1).unwrap();
         j.append(&JournalEntry::failed(5, "cell", 0, 2, Json::from("io")))
             .unwrap();
         j.append(&entry(5, 0)).unwrap();
@@ -450,7 +431,7 @@ mod tests {
     fn fresh_create_replaces_stale_journal() {
         let path = tempfile("replace");
         let id = sweep_id(&[1], "v");
-        let mut j = SweepJournal::create(&path, id, 1).unwrap();
+        let j = SweepJournal::create(&path, id, 1).unwrap();
         j.append(&entry(1, 0)).unwrap();
         drop(j);
         SweepJournal::create(&path, id, 1).unwrap();

@@ -143,16 +143,15 @@ impl Json {
         }
     }
 
-    /// Parses JSON text.
+    /// Parses JSON text. Arrays and objects may nest at most
+    /// [`MAX_DEPTH`] deep; deeper input fails with
+    /// [`ParseErrorKind::TooDeep`] instead of exhausting the stack.
     pub fn parse(text: &str) -> Result<Json, ParseError> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
+        let mut p = Parser { text, pos: 0 };
         p.skip_ws();
-        let v = p.value()?;
+        let v = p.value(0)?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != p.text.len() {
             return Err(p.err("trailing characters"));
         }
         Ok(v)
@@ -216,9 +215,24 @@ impl<T: Into<Json>> From<Option<T>> for Json {
     }
 }
 
-/// A JSON syntax error with byte offset.
+/// Deepest accepted nesting of arrays and objects. The parser recurses
+/// once per level, so the cap bounds its stack use on hostile input.
+pub const MAX_DEPTH: usize = 64;
+
+/// The class of a [`ParseError`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ParseErrorKind {
+    /// The text is not well-formed JSON.
+    Syntax,
+    /// Arrays and objects nest deeper than [`MAX_DEPTH`].
+    TooDeep,
+}
+
+/// A JSON parse error with byte offset.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
+    /// The class of error.
+    pub kind: ParseErrorKind,
     /// What went wrong.
     pub message: String,
     /// Byte offset of the error.
@@ -234,20 +248,21 @@ impl fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
 impl<'a> Parser<'a> {
     fn err(&self, message: &str) -> ParseError {
         ParseError {
+            kind: ParseErrorKind::Syntax,
             message: message.to_string(),
             offset: self.pos,
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -266,7 +281,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, ParseError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -274,20 +289,25 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, ParseError> {
+    /// Parses one value nested `depth` arrays/objects deep.
+    fn value(&mut self, depth: usize) -> Result<Json, ParseError> {
         match self.peek() {
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if depth == MAX_DEPTH => Err(ParseError {
+                kind: ParseErrorKind::TooDeep,
+                ..self.err(&format!("nesting deeper than {MAX_DEPTH}"))
+            }),
+            Some(b'[') => self.array(depth + 1),
+            Some(b'{') => self.object(depth + 1),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
     }
 
-    fn array(&mut self) -> Result<Json, ParseError> {
+    fn array(&mut self, depth: usize) -> Result<Json, ParseError> {
         self.expect_byte(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -297,7 +317,7 @@ impl<'a> Parser<'a> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -310,7 +330,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, ParseError> {
+    fn object(&mut self, depth: usize) -> Result<Json, ParseError> {
         self.expect_byte(b'{')?;
         let mut pairs = Vec::new();
         self.skip_ws();
@@ -324,7 +344,7 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             self.expect_byte(b':')?;
             self.skip_ws();
-            let value = self.value()?;
+            let value = self.value(depth)?;
             pairs.push((key, value));
             self.skip_ws();
             match self.peek() {
@@ -363,9 +383,8 @@ impl<'a> Parser<'a> {
                         b'f' => out.push('\u{c}'),
                         b'u' => {
                             let hex = self
-                                .bytes
+                                .text
                                 .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
                                 .ok_or_else(|| self.err("bad \\u escape"))?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| self.err("bad \\u escape"))?;
@@ -378,10 +397,13 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().ok_or_else(|| self.err("unexpected end"))?;
+                    // Consume one character (no re-validation of the
+                    // rest: the input is a `str`, so it is valid UTF-8).
+                    let c = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| self.err("invalid UTF-8"))?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -400,8 +422,10 @@ impl<'a> Parser<'a> {
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
+        let text = self
+            .text
+            .get(start..self.pos)
+            .ok_or_else(|| self.err("invalid number"))?;
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| self.err("invalid number"))
@@ -461,6 +485,26 @@ mod tests {
         for bad in ["", "{", "[1,", "{\"a\"}", "tru", "1 2", "\"unterminated"] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.kind, ParseErrorKind::TooDeep);
+        assert_eq!(err.offset, MAX_DEPTH);
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert_eq!(
+            Json::parse(&objects).unwrap_err().kind,
+            ParseErrorKind::TooDeep
+        );
+        // Far deeper than any thread stack could recurse.
+        let hostile = "[".repeat(1 << 20);
+        assert_eq!(
+            Json::parse(&hostile).unwrap_err().kind,
+            ParseErrorKind::TooDeep
+        );
     }
 
     #[test]

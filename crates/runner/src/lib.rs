@@ -19,7 +19,8 @@
 //! 4. **Survivability** — every job runs under a supervision envelope
 //!    (typed [`supervisor::JobFailure`] taxonomy, deterministic bounded
 //!    retries, sim-time deadlines), sweeps journal completions to an
-//!    fsync'd write-ahead log for crash resume ([`journal`]), and cache
+//!    fsync'd write-ahead log for crash resume ([`journal`], on the
+//!    shared crash-safe [`append_log`]), and cache
 //!    entries carry checksums so corruption is quarantined and
 //!    recomputed, never parsed ([`cache`]).
 //!
@@ -30,6 +31,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod append_log;
 pub mod cache;
 pub mod engine;
 pub mod journal;

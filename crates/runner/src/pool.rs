@@ -1,17 +1,15 @@
-//! A std-only work-stealing thread pool for batch job execution.
+//! A std-only thread pool for batch job execution.
 //!
-//! Jobs (identified by index) start on a shared injector queue; each
-//! worker drains a small local deque, refills it in batches from the
-//! injector, and steals single jobs from the back of a sibling's deque
-//! when both are empty. Workers are scoped threads, so borrowed job data
-//! needs no `'static` bound.
+//! Jobs are identified by index. Workers claim the next unclaimed index
+//! from one shared atomic counter, so jobs start in index order and a
+//! worker that finishes early simply claims more. Workers are scoped
+//! threads, so borrowed job data needs no `'static` bound.
 //!
 //! Panicking jobs are caught per job and reported as errors; the pool and
 //! the remaining jobs keep running.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -68,12 +66,6 @@ pub fn resolve_threads(requested: Option<usize>) -> usize {
         })
 }
 
-/// How many jobs a worker takes from the injector at once: enough to
-/// amortize the lock, small enough to leave work for stealing.
-fn batch_size(remaining: usize, threads: usize) -> usize {
-    (remaining / (threads * 4)).clamp(1, 64)
-}
-
 /// Runs `count` jobs on `threads` workers and returns their outcomes in
 /// job order, plus pool timing stats.
 ///
@@ -86,9 +78,7 @@ where
     F: Fn(usize) -> T + Sync,
 {
     let threads = threads.max(1).min(count.max(1));
-    let injector: Mutex<VecDeque<usize>> = Mutex::new((0..count).collect());
-    let locals: Vec<Mutex<VecDeque<usize>>> =
-        (0..threads).map(|_| Mutex::new(VecDeque::new())).collect();
+    let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<JobRun<T>>>> = (0..count).map(|_| Mutex::new(None)).collect();
     let busy_nanos: Vec<AtomicU64> = (0..threads).map(|_| AtomicU64::new(0)).collect();
 
@@ -97,14 +87,15 @@ where
     let started = Instant::now();
     std::thread::scope(|scope| {
         for w in 0..threads {
-            let injector = &injector;
-            let locals = &locals;
+            let next = &next;
             let slots = &slots;
             let busy_nanos = &busy_nanos;
             let f = &f;
             scope.spawn(move || loop {
-                let job = next_job(w, injector, locals, threads);
-                let Some(job) = job else { break };
+                let job = next.fetch_add(1, Ordering::Relaxed);
+                if job >= count {
+                    break;
+                }
                 // lint: allow(D001) per-job host wall time for PoolStats only
                 let t0 = Instant::now();
                 let queue_wait = t0.duration_since(started);
@@ -135,60 +126,13 @@ where
         .map(|slot| {
             slot.into_inner()
                 .unwrap_or_else(PoisonError::into_inner)
-                // lint: allow(P002) invariant: every queued job index is
-                // popped exactly once and writes its slot; job panics are
+                // lint: allow(P002) invariant: every job index is claimed
+                // exactly once and writes its slot; job panics are
                 // contained by catch_unwind above
                 .expect("every job index was executed exactly once")
         })
         .collect();
     (outcomes, stats)
-}
-
-/// Pops this worker's next job: local deque front, else a batch from the
-/// injector, else a steal from the back of a sibling's deque.
-fn next_job(
-    w: usize,
-    injector: &Mutex<VecDeque<usize>>,
-    locals: &[Mutex<VecDeque<usize>>],
-    threads: usize,
-) -> Option<usize> {
-    if let Some(job) = locals[w]
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .pop_front()
-    {
-        return Some(job);
-    }
-    {
-        let mut inj = injector.lock().unwrap_or_else(PoisonError::into_inner);
-        if !inj.is_empty() {
-            let take = batch_size(inj.len(), threads);
-            // lint: allow(C001) injector→local batch refill holds both queue
-            // locks in a fixed order; this file is the registered
-            // LOCK_NEST_BOUNDARY seam
-            let mut local = locals[w].lock().unwrap_or_else(PoisonError::into_inner);
-            for _ in 0..take {
-                match inj.pop_front() {
-                    Some(job) => local.push_back(job),
-                    None => break,
-                }
-            }
-            drop(inj);
-            return local.pop_front();
-        }
-    }
-    // Injector dry: steal from the most loaded sibling's back.
-    for offset in 1..threads {
-        let victim = (w + offset) % threads;
-        if let Some(job) = locals[victim]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .pop_back()
-        {
-            return Some(job);
-        }
-    }
-    None
 }
 
 /// Extracts the human-readable message from a caught panic payload.

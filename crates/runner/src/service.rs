@@ -191,7 +191,7 @@ struct SweepShared<T> {
     jobs: Vec<JobSpec>,
     keys: Vec<u64>,
     resumed: std::collections::BTreeMap<u64, crate::journal::JournalEntry>,
-    journal: Option<Mutex<crate::journal::SweepJournal>>,
+    journal: Option<crate::journal::SweepJournal>,
     cache: Option<ResultCache>,
     sup: Supervision,
     hook: Option<Arc<dyn JobFaultHook + Send + Sync>>,
@@ -219,7 +219,7 @@ impl<T: CacheValue> SweepShared<T> {
                 self.cache.as_ref(),
                 &self.sup,
                 self.hook.as_deref().map(|h| h as &dyn JobFaultHook),
-                &self.journal,
+                self.journal.as_ref(),
                 &|job, derived, ctx| exec(job, derived, ctx),
             )
         }))

@@ -36,7 +36,6 @@ use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 /// Salt mixed into a job's derived seed to produce its private backoff
@@ -455,58 +454,45 @@ pub(crate) fn open_journal(
     sup: &Supervision,
     sweep: u64,
     jobs: usize,
-) -> (Option<Mutex<SweepJournal>>, BTreeMap<u64, JournalEntry>) {
-    let mut resumed: BTreeMap<u64, JournalEntry> = BTreeMap::new();
-    let journal = match &sup.journal {
-        None => None,
-        Some(path) => {
-            let mut opened = None;
-            if sup.resume && path.exists() {
-                match SweepJournal::resume(path, sweep, jobs) {
-                    Ok((j, rec)) => {
-                        if rec.torn_bytes > 0 {
-                            eprintln!(
-                                "warning: journal {}: dropped {} bytes of torn tail \
-                                 (crash mid-append); resuming from the last complete entry",
-                                path.display(),
-                                rec.torn_bytes
-                            );
-                        }
-                        resumed = rec.entries;
-                        opened = Some(j);
-                    }
-                    Err(e) => {
-                        eprintln!(
-                            "warning: cannot resume journal {}: {e}; starting the sweep fresh",
-                            path.display()
-                        );
-                    }
-                }
-            }
-            let opened = match opened {
-                Some(j) => Some(j),
-                None => match SweepJournal::create(path, sweep, jobs) {
-                    Ok(j) => Some(j),
-                    Err(e) => {
-                        eprintln!(
-                            "warning: cannot create journal {}: {e}; running without a journal",
-                            path.display()
-                        );
-                        None
-                    }
-                },
-            };
-            opened.map(Mutex::new)
-        }
+) -> (Option<SweepJournal>, BTreeMap<u64, JournalEntry>) {
+    let Some(path) = &sup.journal else {
+        return (None, BTreeMap::new());
     };
-    (journal, resumed)
+    if sup.resume && path.exists() {
+        match SweepJournal::resume(path, sweep, jobs) {
+            Ok((j, rec)) => {
+                if rec.torn_bytes > 0 {
+                    eprintln!(
+                        "warning: journal {}: dropped {} bytes of torn tail \
+                         (crash mid-append); resuming from the last complete entry",
+                        path.display(),
+                        rec.torn_bytes
+                    );
+                }
+                return (Some(j), rec.entries);
+            }
+            Err(e) => eprintln!(
+                "warning: cannot resume journal {}: {e}; starting the sweep fresh",
+                path.display()
+            ),
+        }
+    }
+    match SweepJournal::create(path, sweep, jobs) {
+        Ok(j) => (Some(j), BTreeMap::new()),
+        Err(e) => {
+            eprintln!(
+                "warning: cannot create journal {}: {e}; running without a journal",
+                path.display()
+            );
+            (None, BTreeMap::new())
+        }
+    }
 }
 
 /// Appends one entry to the sweep journal, if there is one.
-pub(crate) fn record_entry(journal: &Option<Mutex<SweepJournal>>, entry: JournalEntry) {
+pub(crate) fn record_entry(journal: Option<&SweepJournal>, entry: JournalEntry) {
     if let Some(j) = journal {
-        let mut guard = j.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Err(e) = guard.append(&entry) {
+        if let Err(e) = j.append(&entry) {
             eprintln!("warning: journal append failed: {e}");
         }
     }
@@ -529,7 +515,7 @@ pub(crate) fn supervise_one<T: CacheValue>(
     cache: Option<&crate::cache::ResultCache>,
     sup: &Supervision,
     hook: Option<&dyn JobFaultHook>,
-    journal: &Option<Mutex<SweepJournal>>,
+    journal: Option<&SweepJournal>,
     exec: &(dyn Fn(&JobSpec, u64, &JobContext) -> Result<T, JobFailure> + Sync),
 ) -> Supervised<T> {
     let derived = job.derived_seed();
@@ -806,7 +792,7 @@ where
             cfg.cache.as_ref(),
             sup,
             hook,
-            &journal,
+            journal.as_ref(),
             &exec,
         )
     });

@@ -18,8 +18,8 @@
 //! slow-loris client — one that opens a frame and then trickles bytes —
 //! is bounded by a per-frame deadline ([`FrameError::FrameTimeout`])
 //! instead of holding a handler thread for the connection lifetime.
-//! This module stays clock-free: the pacer implementation that actually
-//! reads a clock lives in `net.rs`, inside the `WALL_CLOCK_BOUNDARY`.
+//! This module stays clock-free: the pacer implementation that reads
+//! time lives in `net.rs`.
 
 use std::io::{BufRead, ErrorKind, Write};
 
@@ -80,11 +80,11 @@ impl ReadPacer for FailFast {
     }
 }
 
-/// Writes one length-delimited frame.
+/// Writes one length-delimited frame in a single write, so a socket
+/// with Nagle's algorithm on sends it without waiting for the peer's
+/// delayed ACK between the length line and the payload.
 pub fn write_frame(w: &mut impl Write, payload: &str) -> std::io::Result<()> {
-    w.write_all(format!("{}\n", payload.len()).as_bytes())?;
-    w.write_all(payload.as_bytes())?;
-    w.write_all(b"\n")?;
+    w.write_all(format!("{}\n{payload}\n", payload.len()).as_bytes())?;
     w.flush()
 }
 
@@ -205,6 +205,34 @@ mod tests {
     fn frames_round_trip_in_order() {
         let payloads = [r#"{"op":"ping"}"#, "", "exact\nnewlines\ninside", "x"];
         assert_eq!(round_trip(&payloads), payloads);
+    }
+
+    /// A sink that records every `write` call it receives.
+    #[derive(Default)]
+    struct WriteLog {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for WriteLog {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_frame_is_sent_in_one_write() {
+        let mut sink = WriteLog::default();
+        write_frame(&mut sink, r#"{"op":"ping"}"#).unwrap();
+        write_frame(&mut sink, "").unwrap();
+        assert_eq!(
+            sink.writes,
+            vec![b"13\n{\"op\":\"ping\"}\n".to_vec(), b"0\n\n".to_vec()]
+        );
     }
 
     #[test]

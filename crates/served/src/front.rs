@@ -42,6 +42,7 @@ use crate::server::{Server, ServerConfig};
 use crate::shard::{self, ShardHealth, ShardSlot, WorkerSpawn};
 use liteworp_bench::catalog;
 use liteworp_obs as obs;
+use liteworp_runner::cache::atomic_write;
 use liteworp_runner::supervisor::RestartBudget;
 use liteworp_runner::Json;
 use std::collections::btree_map::Entry;
@@ -768,7 +769,12 @@ fn publish(state: &FrontState) {
         ("shards", shards_json(state)),
     ])
     .dump();
-    let _ = std::fs::write(state.state_dir.join("shards.json"), manifest + "\n");
+    // Temp file + rename: scripts poll this file while the front may be
+    // rewriting it, and must never see it empty or half written.
+    let _ = atomic_write(
+        &state.state_dir.join("shards.json"),
+        (manifest + "\n").as_bytes(),
+    );
 }
 
 fn update_up_gauge(state: &FrontState) {

@@ -1,11 +1,11 @@
-//! The daemon's socket-timeout boundary — the **only** place in this
-//! crate that touches the host wall clock.
+//! The daemon's socket-timeout policy.
 //!
 //! Sweep results never depend on wall time (determinism is seed- and
-//! sim-time-based throughout the workspace); the clock here only bounds
-//! how long a silent or trickling client can hold a connection handler
-//! thread. The lint gate (`liteworp-lint` rule L004) pins the
-//! `allow(D001)` sites to this file.
+//! sim-time-based throughout the workspace); the deadlines here only
+//! bound how long a silent or trickling client can hold a connection
+//! handler thread. They read time through
+//! [`liteworp_obs::clock::now_micros`], the obs crate's registered
+//! wall-clock seam, so this file reads no clock itself.
 //!
 //! Two layers of defence:
 //!
@@ -20,8 +20,14 @@
 //!   connection lifetime.
 
 use crate::frame::{FrameError, ReadPacer};
+use liteworp_obs::clock::now_micros;
 use std::net::TcpStream;
-use std::time::{Duration, Instant};
+use std::time::Duration;
+
+/// Time since an obs-clock reading taken earlier.
+fn since(start_us: u64) -> Duration {
+    Duration::from_micros(now_micros().saturating_sub(start_us))
+}
 
 /// How long a connection may sit idle between frames before the daemon
 /// hangs up on it. Idle expiry surfaces as a transport `Io` error in
@@ -49,7 +55,7 @@ pub fn configure(stream: &TcpStream) -> std::io::Result<()> {
 
 /// Tracks one connection's absolute lifetime against [`CONN_LIFETIME`].
 pub struct ConnDeadline {
-    opened: Instant,
+    opened_us: u64,
     limit: Duration,
 }
 
@@ -57,16 +63,14 @@ impl ConnDeadline {
     /// Starts the clock for a freshly accepted connection.
     pub fn new(limit: Duration) -> ConnDeadline {
         ConnDeadline {
-            // lint: allow(D001) socket-lifetime boundary: bounds how long
-            // a client holds a handler thread; never feeds into results
-            opened: Instant::now(),
+            opened_us: now_micros(),
             limit,
         }
     }
 
     /// Whether the connection has outlived its welcome.
     pub fn expired(&self) -> bool {
-        self.opened.elapsed() >= self.limit
+        since(self.opened_us) >= self.limit
     }
 }
 
@@ -76,7 +80,7 @@ impl ConnDeadline {
 /// the start of the call (a client cannot bank idle time to extend a
 /// trickled frame beyond that sum).
 pub struct FramePacer {
-    started: Instant,
+    started_us: u64,
     idle_limit: Duration,
     frame_limit: Duration,
 }
@@ -90,9 +94,7 @@ impl FramePacer {
     /// Starts the per-frame clock with explicit limits (tests).
     pub fn with_limits(idle_limit: Duration, frame_limit: Duration) -> FramePacer {
         FramePacer {
-            // lint: allow(D001) socket-deadline boundary: bounds how long
-            // one frame may take to arrive; never feeds into results
-            started: Instant::now(),
+            started_us: now_micros(),
             idle_limit,
             frame_limit,
         }
@@ -107,7 +109,7 @@ impl Default for FramePacer {
 
 impl ReadPacer for FramePacer {
     fn tick(&self, mid_frame: bool) -> Result<(), FrameError> {
-        let elapsed = self.started.elapsed();
+        let elapsed = since(self.started_us);
         if mid_frame {
             if elapsed >= self.idle_limit + self.frame_limit {
                 return Err(FrameError::FrameTimeout);

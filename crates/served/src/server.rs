@@ -194,18 +194,19 @@ impl Server {
         obs::enable();
         std::fs::create_dir_all(&cfg.state_dir)?;
         let wal_path = cfg.state_dir.join("requests.jsonl");
-        if !cfg.resume {
-            let _ = std::fs::remove_file(&wal_path);
+        let (wal, records) = if cfg.resume {
+            let (wal, records, torn_bytes) = RequestWal::recover(&wal_path)?;
+            if torn_bytes > 0 {
+                eprintln!(
+                    "liteworp-served: request WAL ended mid-append; truncated {torn_bytes} torn \
+                     byte(s) before replay"
+                );
+            }
+            (wal, records)
+        } else {
             let _ = std::fs::remove_dir_all(cfg.state_dir.join("journals"));
-        }
-        let (records, torn_bytes) = RequestWal::load_truncating(&wal_path);
-        if torn_bytes > 0 {
-            eprintln!(
-                "liteworp-served: request WAL ended mid-append; truncated {torn_bytes} torn \
-                 byte(s) before replay"
-            );
-        }
-        let wal = RequestWal::open(&wal_path)?;
+            (RequestWal::open(&wal_path)?, Vec::new())
+        };
 
         let cache = (!cfg.no_cache).then(|| ResultCache::new(cfg.state_dir.join("cache")));
         let engine = SweepEngine::new(cfg.threads, cache, SIM_CODE_VERSION);
@@ -518,7 +519,7 @@ fn stats_pairs(state: &DaemonState) -> Vec<(String, Json)> {
         registry.values().map(|r| (r.phase(), r.key)).collect()
     };
     let count = |want: &str| phases.iter().filter(|(p, _)| p.name() == want).count();
-    let wal_bytes = std::fs::metadata(&state.wal.path)
+    let wal_bytes = std::fs::metadata(state.wal.path())
         .map(|m| m.len())
         .unwrap_or(0);
     let snapshot = obs::snapshot();

@@ -13,9 +13,9 @@
 //! receiver disconnects and its stream ends.
 
 use crate::proto::{format_key, parse_key};
+use liteworp_runner::append_log::AppendLog;
 use liteworp_runner::Json;
-use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::mpsc;
 use std::sync::{Mutex, PoisonError};
 
@@ -359,109 +359,51 @@ impl WalRecord {
     }
 }
 
-/// Append-only JSONL log of request lifecycle records. Replaying it in
-/// order (last record per key wins for phase; submit order builds the
-/// queue) reconstructs the registry after a crash. A torn final line —
-/// the daemon died mid-write — is ignored on load.
+/// Append-only JSONL log of request lifecycle records: the record codec
+/// on top of the shared [`AppendLog`]. Replaying it in order (last
+/// record per key wins for phase; submit order builds the queue)
+/// reconstructs the registry after a crash.
 pub struct RequestWal {
-    file: Mutex<std::fs::File>,
-    /// The log's location.
-    pub path: PathBuf,
+    log: AppendLog,
 }
 
 impl RequestWal {
-    /// Opens (appending) or creates the WAL at `path`.
-    pub fn open(path: impl Into<PathBuf>) -> std::io::Result<RequestWal> {
-        let path = path.into();
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        let file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)?;
-        Ok(RequestWal {
-            file: Mutex::new(file),
-            path,
-        })
+    /// Starts an empty WAL at `path`, atomically replacing any previous
+    /// one.
+    pub fn open(path: &Path) -> std::io::Result<RequestWal> {
+        AppendLog::create(path, b"").map(|log| RequestWal { log })
+    }
+
+    /// Reopens the WAL at `path` (a missing file is an empty log) and
+    /// returns it with every well-formed record, in order, plus the
+    /// number of torn bytes cut from its end. A torn or malformed line —
+    /// the daemon died mid-append — ends the replay; everything before
+    /// it is kept and appends resume after clean bytes.
+    pub fn recover(path: &Path) -> std::io::Result<(RequestWal, Vec<WalRecord>, u64)> {
+        let mut records = Vec::new();
+        let (log, torn_bytes) = AppendLog::recover(path, |line| {
+            match Json::parse(line)
+                .ok()
+                .and_then(|j| WalRecord::from_json(&j))
+            {
+                Some(record) => records.push(record),
+                None if line.trim().is_empty() => {}
+                None => return Ok::<_, std::io::Error>(false),
+            }
+            Ok(true)
+        })?;
+        Ok((RequestWal { log }, records, torn_bytes))
     }
 
     /// Appends one record durably (fsync per record: a crash loses at
-    /// most the torn line the loader already tolerates).
+    /// most the torn line that recovery cuts off).
     pub fn append(&self, record: &WalRecord) -> std::io::Result<()> {
-        let mut file = self.file.lock().unwrap_or_else(PoisonError::into_inner);
-        file.write_all(format!("{}\n", record.to_json().dump()).as_bytes())?;
-        // lint: allow(C002) WAL durability contract: the fsync *must* be
-        // serialized under the file lock so records hit disk in append order
-        file.sync_data()
+        self.log.append(&record.to_json())
     }
 
-    /// Loads every well-formed record, in order. A missing file is an
-    /// empty log; a torn or malformed line ends the replay (everything
-    /// before it is kept).
-    pub fn load(path: &Path) -> Vec<WalRecord> {
-        let Ok(text) = std::fs::read_to_string(path) else {
-            return Vec::new();
-        };
-        let mut records = Vec::new();
-        for line in text.lines() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let Some(record) = Json::parse(line)
-                .ok()
-                .and_then(|j| WalRecord::from_json(&j))
-            else {
-                break;
-            };
-            records.push(record);
-        }
-        records
-    }
-
-    /// [`RequestWal::load`] plus repair: when the log ends in a torn or
-    /// malformed tail (the daemon died mid-append), the file is
-    /// truncated back to its last well-formed record — mirroring
-    /// `runner/journal.rs` — so the next [`RequestWal::open`] appends
-    /// after clean bytes instead of corrupting the record stream.
-    /// Returns the records kept and how many torn bytes were cut.
-    pub fn load_truncating(path: &Path) -> (Vec<WalRecord>, u64) {
-        let Ok(text) = std::fs::read_to_string(path) else {
-            return (Vec::new(), 0);
-        };
-        let mut records = Vec::new();
-        let mut good_bytes = 0usize;
-        for line in text.split_inclusive('\n') {
-            if line.trim().is_empty() {
-                good_bytes += line.len();
-                continue;
-            }
-            let Some(record) = Json::parse(line.trim_end())
-                .ok()
-                .and_then(|j| WalRecord::from_json(&j))
-            else {
-                break;
-            };
-            records.push(record);
-            good_bytes += line.len();
-        }
-        let torn_bytes = (text.len() - good_bytes) as u64;
-        if torn_bytes > 0 {
-            let truncated = std::fs::OpenOptions::new()
-                .write(true)
-                .open(path)
-                .and_then(|file| {
-                    file.set_len(good_bytes as u64)?;
-                    file.sync_data()
-                });
-            if let Err(e) = truncated {
-                eprintln!(
-                    "liteworp-served: failed to truncate torn WAL tail of {}: {e}",
-                    path.display()
-                );
-            }
-        }
-        (records, torn_bytes)
+    /// The log's location.
+    pub fn path(&self) -> &Path {
+        self.log.path()
     }
 }
 
@@ -544,19 +486,30 @@ mod tests {
     }
 
     #[test]
-    fn wal_round_trips_and_tolerates_a_torn_tail() {
-        let dir = std::env::temp_dir().join(format!("liteworp-wal-{}", std::process::id()));
+    fn wal_recovery_keeps_the_prefix_and_cuts_the_torn_tail() {
+        let dir = std::env::temp_dir().join(format!(
+            "liteworp-wal-trunc-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
         let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("requests.jsonl");
+
+        // A missing file is an empty log.
+        let (_, loaded, torn_bytes) = RequestWal::recover(&path).unwrap();
+        assert_eq!((loaded, torn_bytes), (Vec::new(), 0));
+
+        // All three record kinds round-trip.
         let records = vec![
             WalRecord::Submitted {
-                key: 1,
+                key: 3,
                 kind: "fig9".into(),
-                params: Json::parse(r#"{"seeds":2}"#).unwrap(),
+                params: Json::parse(r#"{"seeds":2,"note":"é"}"#).unwrap(),
                 trace: true,
             },
             WalRecord::Done {
-                key: 1,
+                key: 3,
                 info: info(),
             },
             WalRecord::Cancelled { key: 2 },
@@ -567,84 +520,45 @@ mod tests {
                 wal.append(r).unwrap();
             }
         }
-        assert_eq!(RequestWal::load(&path), records);
-
-        // A torn final line is dropped, everything before it kept.
-        let mut text = std::fs::read_to_string(&path).unwrap();
-        text.push_str(r#"{"rec":"done","key":"00000000000"#);
-        std::fs::write(&path, text).unwrap();
-        assert_eq!(RequestWal::load(&path), records);
-
-        assert!(RequestWal::load(Path::new("/nonexistent/wal.jsonl")).is_empty());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn load_truncating_cuts_the_torn_tail_back_to_clean_bytes() {
-        let dir = std::env::temp_dir().join(format!(
-            "liteworp-wal-trunc-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let path = dir.join("requests.jsonl");
-        let records = vec![
-            WalRecord::Submitted {
-                key: 3,
-                kind: "fig9".into(),
-                params: Json::parse(r#"{"seeds":2}"#).unwrap(),
-                trace: false,
-            },
-            WalRecord::Done {
-                key: 3,
-                info: info(),
-            },
-        ];
-        {
-            let wal = RequestWal::open(&path).unwrap();
-            for r in &records {
-                wal.append(r).unwrap();
-            }
-        }
         let clean_len = std::fs::metadata(&path).unwrap().len();
+        let (_, loaded, torn_bytes) = RequestWal::recover(&path).unwrap();
+        assert_eq!((loaded, torn_bytes), (records.clone(), 0));
 
-        // Simulate dying mid-append: a partial record with no newline.
-        let torn_tail = r#"{"rec":"submitted","key":"dead"#;
-        {
-            use std::io::Write as _;
-            let mut f = std::fs::OpenOptions::new()
-                .append(true)
-                .open(&path)
-                .unwrap();
-            f.write_all(torn_tail.as_bytes()).unwrap();
+        // Dying mid-append leaves a partial record with no newline; one
+        // cut inside a multi-byte character is not even valid UTF-8. A
+        // complete line that is not UTF-8 ends the prefix too, and takes
+        // the well-formed records after it along.
+        let torn_ascii = br#"{"rec":"submitted","key":"dead"#.to_vec();
+        let torn_utf8 = r#"{"rec":"submitted","params":{"note":"é"#.as_bytes();
+        let torn_utf8 = torn_utf8[..torn_utf8.len() - 1].to_vec();
+        let bad_line = b"\"\xff\"\n{\"rec\":\"cancelled\",\"key\":\"0000000000000002\"}\n".to_vec();
+        for torn_tail in [torn_ascii, torn_utf8, bad_line] {
+            {
+                use std::io::Write as _;
+                let mut f = std::fs::OpenOptions::new()
+                    .append(true)
+                    .open(&path)
+                    .unwrap();
+                f.write_all(&torn_tail).unwrap();
+            }
+            let (_, loaded, torn_bytes) = RequestWal::recover(&path).unwrap();
+            assert_eq!(loaded, records);
+            assert_eq!(torn_bytes, torn_tail.len() as u64);
+            assert_eq!(
+                std::fs::metadata(&path).unwrap().len(),
+                clean_len,
+                "torn tail physically removed"
+            );
         }
-
-        let (loaded, torn_bytes) = RequestWal::load_truncating(&path);
-        assert_eq!(loaded, records);
-        assert_eq!(torn_bytes, torn_tail.len() as u64);
-        assert_eq!(
-            std::fs::metadata(&path).unwrap().len(),
-            clean_len,
-            "torn tail physically removed"
-        );
-
-        // A clean log is untouched and reports zero torn bytes.
-        let (loaded, torn_bytes) = RequestWal::load_truncating(&path);
-        assert_eq!(loaded, records);
-        assert_eq!(torn_bytes, 0);
 
         // Appending after repair yields a well-formed log again.
         let extra = WalRecord::Cancelled { key: 9 };
-        RequestWal::open(&path).unwrap().append(&extra).unwrap();
-        let (loaded, torn_bytes) = RequestWal::load_truncating(&path);
-        assert_eq!(loaded.len(), 3);
-        assert_eq!(loaded[2], extra);
+        let (wal, _, _) = RequestWal::recover(&path).unwrap();
+        wal.append(&extra).unwrap();
+        let (_, loaded, torn_bytes) = RequestWal::recover(&path).unwrap();
+        assert_eq!(loaded.len(), 4);
+        assert_eq!(loaded[3], extra);
         assert_eq!(torn_bytes, 0);
-
-        assert_eq!(
-            RequestWal::load_truncating(Path::new("/nonexistent/wal.jsonl")),
-            (Vec::new(), 0)
-        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -65,10 +65,16 @@ impl Client {
         }
     }
 
-    fn ok(&mut self, payload: &str) -> Json {
+    fn exchange(&mut self, payload: &str) -> Json {
         write_frame(&mut self.writer, payload).expect("send");
-        let response = read_frame(&mut self.reader).expect("recv").expect("frame");
-        let parsed = Json::parse(&response).expect("json");
+        let response = read_frame(&mut self.reader)
+            .expect("recv (did the daemon die?)")
+            .expect("frame");
+        Json::parse(&response).expect("json")
+    }
+
+    fn ok(&mut self, payload: &str) -> Json {
+        let parsed = self.exchange(payload);
         assert_eq!(
             parsed.get("ok").and_then(Json::as_bool),
             Some(true),
@@ -225,4 +231,64 @@ fn load_generator_passes_against_a_fresh_daemon_twice_with_identical_digests() {
 
     let _ = std::fs::remove_dir_all(&dir_a);
     let _ = std::fs::remove_dir_all(&dir_b);
+}
+
+#[test]
+fn a_deeply_nested_frame_gets_a_typed_error_and_the_daemon_lives_on() {
+    let dir = temp_dir("deep");
+    let daemon = Daemon::start(&dir, false);
+    let mut client = Client::connect(&daemon.addr);
+    // 100 KB of `[`: far under the frame cap, far over any thread stack
+    // a recursive parser could descend.
+    let response = client.exchange(&"[".repeat(100_000));
+    assert_eq!(response.get("ok").and_then(Json::as_bool), Some(false));
+    let error = response.get("error").and_then(Json::as_str).expect("error");
+    assert!(error.contains("nesting deeper than 64"), "{error}");
+
+    let mut fresh = Client::connect(&daemon.addr);
+    fresh.ok(r#"{"op":"ping"}"#);
+    fresh.ok(r#"{"op":"shutdown"}"#);
+    daemon.wait();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_wal_torn_inside_a_utf8_character_is_cut_back_and_replayed_on_resume() {
+    let dir = temp_dir("wal-utf8");
+    let daemon = Daemon::start(&dir, false);
+    let mut client = Client::connect(&daemon.addr);
+    let spec = r#"{"nodes":20,"seeds":1,"duration":30.0,"note":"é"}"#.to_string();
+    let reqs = submit_all(&mut client, std::slice::from_ref(&spec));
+    let digests = drain_all(&mut client, &reqs);
+    client.ok(r#"{"op":"shutdown"}"#);
+    daemon.wait();
+
+    // A crash mid-append that cut the last record inside the two-byte
+    // `é`: the tail is not valid UTF-8.
+    let wal = dir.join("requests.jsonl");
+    let clean = std::fs::read(&wal).expect("read WAL");
+    let record =
+        r#"{"rec":"submitted","key":"00000000000000aa","kind":"scenario","params":{"note":"é"#;
+    let torn = &record.as_bytes()[..record.len() - 1];
+    let mut bytes = clean.clone();
+    bytes.extend_from_slice(torn);
+    std::fs::write(&wal, &bytes).expect("tear WAL tail");
+
+    let revived = Daemon::start(&dir, true);
+    assert_eq!(
+        std::fs::read(&wal).expect("read healed WAL"),
+        clean,
+        "resume cuts the torn tail back to the clean prefix"
+    );
+    let mut client = Client::connect(&revived.addr);
+    let status = client.ok(&format!(r#"{{"op":"status","req":"{}"}}"#, reqs[0]));
+    assert_eq!(status.get("phase").and_then(Json::as_str), Some("done"));
+    assert_eq!(
+        status.get("digest").and_then(Json::as_str),
+        Some(digests[0].as_str()),
+        "the replayed request keeps its digest"
+    );
+    client.ok(r#"{"op":"shutdown"}"#);
+    revived.wait();
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -385,6 +385,16 @@ fn stats_op_round_trips_its_schema_against_a_live_daemon() {
         .expect("req")
         .to_string();
 
+    // The one drainer takes the heavy request first; until it has, the
+    // tiny one is second in line, so wait for the hand-off.
+    for _ in 0..2400 {
+        let heavy = client.ok(&format!(r#"{{"op":"status","req":"{heavy_req}"}}"#));
+        if heavy.get("phase").and_then(Json::as_str) != Some("queued") {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+
     // Satellite contract: a queued request reports its place in line
     // and its age; a running/done one reports age only.
     let status = client.ok(&format!(r#"{{"op":"status","req":"{tiny_req}"}}"#));
