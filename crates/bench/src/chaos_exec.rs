@@ -1,18 +1,19 @@
 //! Bridges chaos runs (scenario × fault plan) to the runner engine.
 //!
 //! Mirrors [`crate::exec`]: a [`ChaosCell`] describes one scenario
-//! configuration under one [`FaultPlan`] at many seeds; [`run_chaos_cells`]
-//! executes all seeds on the runner's thread pool behind the result cache.
+//! configuration under one [`FaultPlan`](liteworp_chaos::FaultPlan) at
+//! many seeds; [`run_chaos_cells`] executes all seeds on the runner's
+//! thread pool behind the result cache, through the same cell grouping
+//! as `exec::run_cells`.
 //! The fault plan's descriptor is folded into the cell descriptor, so
 //! cached outcomes are keyed by the *complete* (scenario, plan) identity
 //! and any plan change re-runs.
 
-use crate::exec::ExecOptions;
+use crate::exec::{run_grouped, Cell, ExecOptions};
 use crate::scenario::Scenario;
 use liteworp_chaos::{check, Immunity, Injector, OracleConfig, Violation};
 use liteworp_runner::supervisor::{JobContext, JobFailure, JobFaultHook};
-use liteworp_runner::{CacheValue, JobSpec, Json, Manifest};
-use std::collections::BTreeMap;
+use liteworp_runner::{CacheValue, Json, Manifest};
 
 /// One chaos cell: a scenario under a fault plan, at many seeds.
 #[derive(Debug, Clone)]
@@ -44,6 +45,13 @@ impl ChaosCell {
             self.duration,
             self.immunity
         )
+    }
+}
+
+impl Cell for ChaosCell {
+    fn jobs(&self) -> (&str, String, std::ops::Range<u64>) {
+        let seeds = self.seed_base..self.seed_base + self.seeds;
+        (&self.label, self.descriptor(), seeds)
     }
 }
 
@@ -116,45 +124,17 @@ pub struct ChaosRun {
 
 /// Runs every seed of every chaos cell on the thread pool.
 pub fn run_chaos_cells(cells: &[ChaosCell], opts: &ExecOptions) -> ChaosRun {
-    let cfg = opts.run_config();
-    let mut specs = Vec::new();
-    let mut lookup: BTreeMap<(u64, u64), &ChaosCell> = BTreeMap::new();
-    for cell in cells {
-        let descriptor = cell.descriptor();
-        for s in 0..cell.seeds {
-            let spec = JobSpec {
-                label: format!("{} seed={}", cell.label, cell.seed_base + s),
-                scenario: descriptor.clone(),
-                seed: cell.seed_base + s,
-            };
-            lookup.insert((spec.scenario_hash(), spec.seed), cell);
-            specs.push(spec);
-        }
-    }
-    let sup = opts.supervision();
     let fault_plan = opts.engine_fault_plan();
     let hook = fault_plan.as_ref().map(|p| p as &dyn JobFaultHook);
-    let report = liteworp_runner::run_supervised(&cfg, &sup, &specs, hook, |job, derived, ctx| {
-        let cell = lookup[&(job.scenario_hash(), job.seed)];
-        execute_chaos_supervised(cell, derived, ctx)
-    });
-    let mut results = report.results.into_iter();
-    let mut outcomes = Vec::with_capacity(cells.len());
-    for cell in cells {
-        let mut per_cell = Vec::with_capacity(cell.seeds as usize);
-        for _ in 0..cell.seeds {
-            // lint: allow(P002) pool invariant: exactly one JobRun per job index
-            match results.next().expect("one result per job") {
-                Ok(outcome) => per_cell.push(outcome),
-                Err(e) => eprintln!("warning: {e}; excluded from sweep"),
-            }
-        }
-        outcomes.push(per_cell);
-    }
-    ChaosRun {
-        outcomes,
-        manifest: report.manifest,
-    }
+    let (outcomes, manifest) = run_grouped(
+        cells,
+        &opts.run_config(),
+        &opts.supervision(),
+        hook,
+        None,
+        execute_chaos_supervised,
+    );
+    ChaosRun { outcomes, manifest }
 }
 
 /// Builds, faults, runs, and oracle-checks one seed of a chaos cell.

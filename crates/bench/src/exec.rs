@@ -12,12 +12,10 @@ use liteworp_chaos::EngineFaultPlan;
 use liteworp_obs as obs;
 use liteworp_runner::supervisor::{JobContext, JobFailure, JobFaultHook, Supervision};
 use liteworp_runner::{
-    pool, CacheValue, JobSpec, Json, Manifest, ProgressObserver, ResultCache, RunConfig, RunReport,
-    Summary, SweepEngine, SweepExec,
+    pool, run_supervised, CacheValue, JobSpec, Json, Manifest, ProgressObserver, ResultCache,
+    RunConfig, Summary,
 };
-use std::collections::BTreeMap;
-use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Version string folded into every cache key. Bump the suffix whenever
 /// simulator or measurement behavior changes, so stale cached results are
@@ -274,91 +272,100 @@ pub struct CellRun {
 /// reproducer seed and dropped from its cell's outcomes; the rest of the
 /// batch is unaffected and the manifest's `failures` block records it.
 pub fn run_cells(cells: &[SimCell], opts: &ExecOptions) -> CellRun {
-    let cfg = opts.run_config();
-    let mut specs = Vec::new();
-    let mut lookup: BTreeMap<(u64, u64), &SimCell> = BTreeMap::new();
-    for cell in cells {
-        let descriptor = cell.descriptor();
-        for s in 0..cell.seeds {
-            let spec = JobSpec {
-                label: format!("{} seed={}", cell.label, cell.seed_base + s),
-                scenario: descriptor.clone(),
-                seed: cell.seed_base + s,
-            };
-            lookup.insert((spec.scenario_hash(), spec.seed), cell);
-            specs.push(spec);
-        }
-    }
-
-    let sup = opts.supervision();
     let fault_plan = opts.engine_fault_plan();
     let hook = fault_plan.as_ref().map(|p| p as &dyn JobFaultHook);
-    let report = liteworp_runner::run_supervised(&cfg, &sup, &specs, hook, |job, derived, ctx| {
-        let cell = lookup[&(job.scenario_hash(), job.seed)];
-        execute(cell, derived, ctx)
-    });
-
-    group_outcomes(cells, report)
+    let (outcomes, manifest) = run_grouped(
+        cells,
+        &opts.run_config(),
+        &opts.supervision(),
+        hook,
+        None,
+        execute,
+    );
+    CellRun { outcomes, manifest }
 }
 
-/// Runs every seed of every cell on a warm [`SweepEngine`] — the service
-/// path. The jobs, derived seeds, and cache keys are identical to
-/// [`run_cells`], so a request served by a daemon reproduces the exact
-/// `results_digest` of the batch bins. The observer, if any, sees each
-/// job as it settles.
-pub fn run_cells_on(
-    engine: &SweepEngine,
+/// [`run_cells`] under an explicit runner config and supervision policy,
+/// telling `observer` of each job as it settles: the sweep daemon's drain
+/// path. The jobs, derived seeds and cache keys are those of
+/// [`run_cells`], so a served sweep reproduces the batch
+/// `results_digest`.
+pub fn run_cells_observed(
     cells: &[SimCell],
+    cfg: &RunConfig,
     sup: &Supervision,
-    observer: Option<Arc<ProgressObserver>>,
+    observer: &ProgressObserver,
 ) -> CellRun {
-    let owned: Arc<Vec<SimCell>> = Arc::new(cells.to_vec());
+    let (outcomes, manifest) = run_grouped(cells, cfg, sup, None, Some(observer), execute);
+    CellRun { outcomes, manifest }
+}
+
+/// What [`run_grouped`] needs from a cell.
+pub(crate) trait Cell {
+    /// The cell's label, the canonical descriptor it is cached and
+    /// seeded under, and its seed indices in job order.
+    fn jobs(&self) -> (&str, String, std::ops::Range<u64>);
+}
+
+impl Cell for SimCell {
+    fn jobs(&self) -> (&str, String, std::ops::Range<u64>) {
+        let seeds = self.seed_base..self.seed_base + self.seeds;
+        (&self.label, self.descriptor(), seeds)
+    }
+}
+
+/// Flattens cells into runner jobs, runs them through
+/// [`run_supervised`], and groups the job-ordered results back per cell,
+/// warning about (and dropping) quarantined seeds. The one cells → jobs
+/// → outcomes path behind [`run_cells`], [`run_cells_observed`] and
+/// [`crate::chaos_exec::run_chaos_cells`].
+pub(crate) fn run_grouped<C, T>(
+    cells: &[C],
+    cfg: &RunConfig,
+    sup: &Supervision,
+    hook: Option<&dyn JobFaultHook>,
+    observer: Option<&ProgressObserver>,
+    exec: impl Fn(&C, u64, &JobContext) -> Result<T, JobFailure> + Sync,
+) -> (Vec<Vec<T>>, Manifest)
+where
+    C: Cell + Sync,
+    T: CacheValue + Send,
+{
     let mut specs = Vec::new();
-    let mut lookup: BTreeMap<(u64, u64), usize> = BTreeMap::new();
-    for (c, cell) in owned.iter().enumerate() {
-        let descriptor = cell.descriptor();
-        for s in 0..cell.seeds {
+    let mut per_cell = Vec::with_capacity(cells.len());
+    let mut lookup: BTreeMap<(u64, u64), &C> = BTreeMap::new();
+    for cell in cells {
+        let (label, descriptor, seeds) = cell.jobs();
+        per_cell.push(seeds.end - seeds.start);
+        for seed in seeds {
             let spec = JobSpec {
-                label: format!("{} seed={}", cell.label, cell.seed_base + s),
+                label: format!("{label} seed={seed}"),
                 scenario: descriptor.clone(),
-                seed: cell.seed_base + s,
+                seed,
             };
-            lookup.insert((spec.scenario_hash(), spec.seed), c);
+            lookup.insert((spec.scenario_hash(), seed), cell);
             specs.push(spec);
         }
     }
-    let lookup = Arc::new(lookup);
-    let exec: Arc<SweepExec<SeedOutcome>> = {
-        let owned = Arc::clone(&owned);
-        Arc::new(move |job: &JobSpec, derived: u64, ctx: &JobContext| {
-            let cell = &owned[lookup[&(job.scenario_hash(), job.seed)]];
-            execute(cell, derived, ctx)
-        })
-    };
-    let report = engine.run_sweep(sup, specs, None, exec, observer);
-    group_outcomes(cells, report)
-}
+    let report = run_supervised(cfg, sup, &specs, hook, observer, |job, derived, ctx| {
+        exec(lookup[&(job.scenario_hash(), job.seed)], derived, ctx)
+    });
 
-/// Groups a report's job-ordered results back into per-cell outcome
-/// vectors, warning about (and dropping) quarantined seeds.
-fn group_outcomes(cells: &[SimCell], report: RunReport<SeedOutcome>) -> CellRun {
     let mut results = report.results.into_iter();
-    let mut outcomes = Vec::with_capacity(cells.len());
-    for cell in cells {
-        let mut per_cell = Vec::with_capacity(cell.seeds as usize);
-        for _ in 0..cell.seeds {
-            // lint: allow(P002) pool invariant: exactly one JobRun per job index
-            match results.next().expect("one result per job") {
-                Ok(outcome) => per_cell.push(outcome),
-                Err(e) => eprintln!("warning: {e}; excluded from aggregates"),
-            }
-        }
-        outcomes.push(per_cell);
-    }
-    CellRun {
-        outcomes,
-        manifest: report.manifest,
-    }
+    let outcomes = per_cell
+        .into_iter()
+        .map(|n| {
+            results
+                .by_ref()
+                .take(n as usize)
+                .filter_map(|r| {
+                    r.map_err(|e| eprintln!("warning: {e}; excluded from aggregates"))
+                        .ok()
+                })
+                .collect()
+        })
+        .collect();
+    (outcomes, report.manifest)
 }
 
 /// Summarizes one metric over a cell's outcomes.
@@ -492,5 +499,36 @@ mod tests {
             assert_eq!(o.drops, 0.0, "no attackers, no wormhole drops");
             assert!(o.data_sent > 0.0, "traffic should flow");
         }
+    }
+
+    #[test]
+    fn observed_runs_match_the_batch_digest_and_attribute_their_pool() {
+        let base = Scenario {
+            nodes: 20,
+            malicious: 0,
+            ..Scenario::default()
+        };
+        let cells = vec![
+            SimCell::snapshot("obs a", base.clone(), 2, 0, 40.0),
+            SimCell::snapshot("obs b", base, 1, 7, 40.0),
+        ];
+        let opts = ExecOptions {
+            jobs: Some(2),
+            ..ExecOptions::default()
+        };
+        let batch = run_cells(&cells, &opts);
+        let seen = std::sync::atomic::AtomicUsize::new(0);
+        let observer = |p: liteworp_runner::JobProgress| {
+            assert!(p.ok && !p.cached && !p.journaled && p.total == 3);
+            seen.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        };
+        let served = run_cells_observed(&cells, &opts.run_config(), &opts.supervision(), &observer);
+        assert_eq!(seen.into_inner(), 3, "one progress call per job");
+        assert_eq!(
+            served.manifest.results_digest,
+            batch.manifest.results_digest
+        );
+        assert_eq!(served.outcomes, batch.outcomes);
+        assert_eq!(served.manifest.utilization.len(), 2, "per-worker busy time");
     }
 }

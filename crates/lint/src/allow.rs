@@ -22,7 +22,6 @@ pub const WALL_CLOCK_BOUNDARY: &[&str] = &[
     "crates/bench/src/timing.rs",
     "crates/obs/src/clock.rs",
     "crates/runner/src/pool.rs",
-    "crates/runner/src/service.rs",
     "crates/runner/src/supervisor.rs",
     "crates/served/src/net.rs",
 ];

@@ -323,6 +323,7 @@ where
         &Supervision::default(),
         jobs,
         None,
+        None,
         |job, derived, _| Ok(exec(job, derived)),
     )
 }

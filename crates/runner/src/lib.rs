@@ -3,7 +3,7 @@
 //!
 //! Every headline result of the paper replays tens of independent seeded
 //! simulations. This crate turns that embarrassingly parallel workload
-//! into an execution engine with three guarantees:
+//! into an execution engine with four guarantees:
 //!
 //! 1. **Determinism** — each job's RNG seed is derived purely from the
 //!    job's identity (`(scenario_hash, seed)`, mixed with splitmix64), so
@@ -24,6 +24,11 @@
 //!    entries carry checksums so corruption is quarantined and
 //!    recomputed, never parsed ([`cache`]).
 //!
+//! There is one executor, [`supervisor::run_supervised`] on the scoped
+//! [`pool::run`]. The experiment bins call it once per sweep, and the
+//! sweep daemon calls it once per drained request, each call with its own
+//! workers and an optional per-job progress observer.
+//!
 //! The crate is dependency-free (std only) and also hosts the workspace's
 //! shared deterministic RNG ([`rng`]) and a minimal JSON reader/writer
 //! ([`json`]) so no crate in the default build needs the network.
@@ -38,18 +43,15 @@ pub mod journal;
 pub mod json;
 pub mod pool;
 pub mod rng;
-pub mod service;
 pub mod stats;
 pub mod supervisor;
-pub mod task_pool;
 
 pub use cache::{CacheLoad, ResultCache};
 pub use engine::{run_jobs, CacheValue, JobError, JobSpec, Manifest, RunConfig, RunReport};
 pub use json::Json;
 pub use rng::{Pcg32, Rng};
-pub use service::{JobProgress, ProgressObserver, SweepEngine, SweepExec};
 pub use stats::{Percentiles, Summary};
 pub use supervisor::{
-    run_supervised, FailureReport, JobContext, JobFailure, JobFaultHook, Supervision,
+    run_supervised, FailureReport, JobContext, JobFailure, JobFaultHook, JobProgress,
+    ProgressObserver, Supervision,
 };
-pub use task_pool::TaskPool;

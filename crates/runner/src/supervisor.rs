@@ -19,7 +19,12 @@
 //!   degraded aggregates are never silent;
 //! * optional **write-ahead journaling** ([`crate::journal`]): each
 //!   completion is fsync'd to a JSONL journal, and a resumed sweep
-//!   replays finished jobs from it instead of re-executing them.
+//!   replays finished jobs from it instead of re-executing them;
+//! * an optional **progress observer** told of each job as it settles,
+//!   with its provenance ([`JobProgress`]).
+//!
+//! It is the one executor: the batch bins and every drain of the sweep
+//! daemon run through it, each call on its own scoped [`pool::run`].
 //!
 //! The [`JobFaultHook`] seam injects failures between the supervisor and
 //! the job body, letting the chaos crate exercise every path above
@@ -411,7 +416,7 @@ impl FailureReport {
 }
 
 /// Where a job's result came from.
-pub(crate) enum Source<T> {
+enum Source<T> {
     /// Replayed from the resume journal.
     Journal(T),
     /// Answered by the verified result cache.
@@ -421,26 +426,41 @@ pub(crate) enum Source<T> {
 }
 
 /// Per-job outcome of the supervision loop, before collection.
-pub(crate) struct Supervised<T> {
-    pub(crate) outcome: Result<Source<T>, JobFailure>,
-    pub(crate) retries: u32,
-    pub(crate) corrupt_cache: bool,
+struct Supervised<T> {
+    outcome: Result<Source<T>, JobFailure>,
+    retries: u32,
+    corrupt_cache: bool,
 }
 
-/// One job after execution, with host-side timing attached. The
-/// `result` is `Err` only when the supervision envelope itself
-/// panicked (a supervisor bug), never for job-body failures — those
-/// are typed inside [`Supervised`].
-pub(crate) struct FinishedJob<T> {
-    pub(crate) result: Result<Supervised<T>, String>,
-    pub(crate) wall_ms: f64,
-    pub(crate) queue_wait_ms: f64,
-    pub(crate) worker: usize,
+/// Progress of one job inside a sweep, reported to the observer as soon
+/// as the job settles (in completion order, not job order).
+#[derive(Debug, Clone)]
+pub struct JobProgress {
+    /// Index of the job within its sweep.
+    pub index: usize,
+    /// Total jobs in the sweep.
+    pub total: usize,
+    /// The job's label.
+    pub label: String,
+    /// Seed index of the job.
+    pub seed: u64,
+    /// Whether the job produced a result (false = quarantined).
+    pub ok: bool,
+    /// Whether the result came from the shared cache.
+    pub cached: bool,
+    /// Whether the result was replayed from the resume journal.
+    pub journaled: bool,
 }
+
+/// The type a sweep observer must have: called once per settled job,
+/// possibly from several worker threads at once. It may borrow from the
+/// caller: the sweep's workers are joined before [`run_supervised`]
+/// returns.
+pub type ProgressObserver<'a> = dyn Fn(JobProgress) + Sync + 'a;
 
 /// Cache keys for a batch, in job order: the identity the cache, the
 /// journal, and the sweep id all agree on.
-pub(crate) fn job_keys(cfg: &RunConfig, jobs: &[JobSpec]) -> Vec<u64> {
+fn job_keys(cfg: &RunConfig, jobs: &[JobSpec]) -> Vec<u64> {
     jobs.iter()
         .map(|j| crate::cache::ResultCache::key(&j.scenario, j.seed, &cfg.code_version))
         .collect()
@@ -450,7 +470,7 @@ pub(crate) fn job_keys(cfg: &RunConfig, jobs: &[JobSpec]) -> Vec<u64> {
 /// the journal handle plus any entries replayable from a previous run.
 /// Journal problems degrade to warnings — a sweep never fails because
 /// its WAL is unavailable.
-pub(crate) fn open_journal(
+fn open_journal(
     sup: &Supervision,
     sweep: u64,
     jobs: usize,
@@ -490,7 +510,7 @@ pub(crate) fn open_journal(
 }
 
 /// Appends one entry to the sweep journal, if there is one.
-pub(crate) fn record_entry(journal: Option<&SweepJournal>, entry: JournalEntry) {
+fn record_entry(journal: Option<&SweepJournal>, entry: JournalEntry) {
     if let Some(j) = journal {
         if let Err(e) = j.append(&entry) {
             eprintln!("warning: journal append failed: {e}");
@@ -498,17 +518,14 @@ pub(crate) fn record_entry(journal: Option<&SweepJournal>, entry: JournalEntry) 
     }
 }
 
-/// The per-job supervision body shared by the scoped batch path
-/// ([`run_supervised`]) and the persistent engine path
-/// ([`crate::service::SweepEngine`]): resume-journal replay, verified
-/// cache lookup, then up to `1 + max_retries` attempts with
-/// deterministic backoff. Identical inputs produce identical outcomes
-/// on either path.
+/// The per-job supervision body of [`run_supervised`]: resume-journal
+/// replay, verified cache lookup, then up to `1 + max_retries` attempts
+/// with deterministic backoff.
 // Each argument is one supervision facility; bundling them into a
 // context struct would just move the same list one hop away from the
-// two call sites that destructure it anyway.
+// one call site that destructures it anyway.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn supervise_one<T: CacheValue>(
+fn supervise_one<T: CacheValue>(
     job: &JobSpec,
     key: u64,
     resumed: &BTreeMap<u64, JournalEntry>,
@@ -632,22 +649,20 @@ pub(crate) fn supervise_one<T: CacheValue>(
     }
 }
 
-/// Folds per-job outcomes into the ordered result vector, the failure
-/// accounting, and the manifest — the collection half shared by both
-/// execution paths. `finished` must be in job order.
-pub(crate) fn build_report<T: CacheValue>(
+/// Folds the pool's per-job outcomes (in job order) into the ordered
+/// result vector, the failure accounting, and the manifest.
+fn build_report<T: CacheValue>(
     jobs: &[JobSpec],
     keys: &[u64],
-    finished: Vec<FinishedJob<T>>,
-    threads: usize,
+    runs: Vec<pool::JobRun<Supervised<T>>>,
+    pool_stats: &pool::PoolStats,
     wall_ms: f64,
-    utilization: Vec<f64>,
 ) -> RunReport<T> {
     let mut results: Vec<Result<T, JobError>> = Vec::with_capacity(jobs.len());
     let mut per_job = Vec::with_capacity(jobs.len());
     let mut failures = FailureReport::default();
     let (mut cache_hits, mut journal_hits, mut misses, mut failed) = (0, 0, 0, 0);
-    for ((job, run), key) in jobs.iter().zip(finished).zip(keys) {
+    for ((job, run), key) in jobs.iter().zip(runs).zip(keys) {
         // The supervision body catches job panics itself, so the Err
         // path only fires if the supervisor has a bug.
         let supervised = match run.result {
@@ -712,8 +727,8 @@ pub(crate) fn build_report<T: CacheValue>(
             retries: supervised.retries,
             failure: outcome.as_ref().err().map(|e| e.failure.class()),
             failed: outcome.is_err(),
-            wall_ms: run.wall_ms,
-            queue_wait_ms: run.queue_wait_ms,
+            wall_ms: run.elapsed.as_secs_f64() * 1000.0,
+            queue_wait_ms: run.queue_wait.as_secs_f64() * 1000.0,
             worker: run.worker,
         });
         results.push(outcome);
@@ -738,14 +753,14 @@ pub(crate) fn build_report<T: CacheValue>(
     RunReport {
         results,
         manifest: Manifest {
-            threads,
+            threads: pool_stats.threads,
             jobs: jobs.len(),
             cache_hits,
             journal_hits,
             cache_misses: misses,
             failed,
             wall_ms,
-            utilization,
+            utilization: pool_stats.utilization(),
             job_duration_ms,
             queue_wait_ms,
             cache_hit_ms,
@@ -765,12 +780,19 @@ pub(crate) fn build_report<T: CacheValue>(
 /// deterministic backoff between attempts. Panics are caught per attempt
 /// and typed as [`JobFailure::Panic`]. Jobs that exhaust their retries
 /// are quarantined as [`JobError`]s; the batch always completes and the
-/// manifest's [`FailureReport`] accounts for every failure.
+/// manifest's [`FailureReport`] accounts for every failure. The
+/// observer, if any, is told of each job as it settles, from the worker
+/// thread that ran it.
+///
+/// Each call runs on its own scoped pool of `cfg.threads` workers, so
+/// concurrent calls never share workers and `results_digest` depends
+/// only on the jobs, never on what else the process is running.
 pub fn run_supervised<T, F>(
     cfg: &RunConfig,
     sup: &Supervision,
     jobs: &[JobSpec],
     hook: Option<&dyn JobFaultHook>,
+    observer: Option<&ProgressObserver<'_>>,
     exec: F,
 ) -> RunReport<T>
 where
@@ -785,7 +807,7 @@ where
     let (journal, resumed) = open_journal(sup, sweep, jobs.len());
 
     let (runs, pool_stats) = pool::run(cfg.threads, jobs.len(), |i| {
-        supervise_one(
+        let supervised = supervise_one(
             &jobs[i],
             keys[i],
             &resumed,
@@ -794,26 +816,27 @@ where
             hook,
             journal.as_ref(),
             &exec,
-        )
+        );
+        if let Some(observer) = observer {
+            observer(JobProgress {
+                index: i,
+                total: jobs.len(),
+                label: jobs[i].label.clone(),
+                seed: jobs[i].seed,
+                ok: supervised.outcome.is_ok(),
+                cached: matches!(supervised.outcome, Ok(Source::Cache(_))),
+                journaled: matches!(supervised.outcome, Ok(Source::Journal(_))),
+            });
+        }
+        supervised
     });
-
-    let finished = runs
-        .into_iter()
-        .map(|run| FinishedJob {
-            result: run.result,
-            wall_ms: run.elapsed.as_secs_f64() * 1000.0,
-            queue_wait_ms: run.queue_wait.as_secs_f64() * 1000.0,
-            worker: run.worker,
-        })
-        .collect();
 
     build_report(
         jobs,
         &keys,
-        finished,
-        pool_stats.threads,
+        runs,
+        &pool_stats,
         started.elapsed().as_secs_f64() * 1000.0,
-        pool_stats.utilization(),
     )
 }
 
@@ -976,7 +999,7 @@ mod tests {
         let exec = |j: &JobSpec, derived: u64, _: &JobContext| {
             Ok(Val((j.seed as f64) + (derived % 7) as f64))
         };
-        let clean = run_supervised(&no_cache(4), &Supervision::default(), &js, None, exec);
+        let clean = run_supervised(&no_cache(4), &Supervision::default(), &js, None, None, exec);
         assert!(clean.manifest.failures.is_empty());
 
         let hook = Transient {
@@ -988,7 +1011,7 @@ mod tests {
             backoff_base_us: 10,
             ..Supervision::default()
         };
-        let faulty = run_supervised(&no_cache(4), &sup, &js, Some(&hook), exec);
+        let faulty = run_supervised(&no_cache(4), &sup, &js, Some(&hook), None, exec);
         assert_eq!(faulty.manifest.failed, 0, "all jobs recovered");
         assert_eq!(
             faulty.manifest.results_digest, clean.manifest.results_digest,
@@ -1012,7 +1035,7 @@ mod tests {
             backoff_base_us: 10,
             ..Supervision::default()
         };
-        let report = run_supervised(&no_cache(3), &sup, &js, Some(&hook), |j, _, _| {
+        let report = run_supervised(&no_cache(3), &sup, &js, Some(&hook), None, |j, _, _| {
             Ok(Val(j.seed as f64))
         });
         assert_eq!(report.manifest.failed, 1);
@@ -1039,7 +1062,7 @@ mod tests {
             job_deadline_us: Some(1_000_000),
             ..Supervision::default()
         };
-        let report = run_supervised(&no_cache(2), &sup, &js, None, |j, _, ctx| {
+        let report = run_supervised(&no_cache(2), &sup, &js, None, None, |j, _, ctx| {
             calls.fetch_add(1, Ordering::SeqCst);
             // Seed 1 simulates 2 s against a 1 s budget.
             let target = if j.seed == 1 { 2.0 } else { 0.5 };
@@ -1068,7 +1091,7 @@ mod tests {
         };
         let js = jobs(4);
         let exec = |j: &JobSpec, _: u64, _: &JobContext| Ok(Val(j.seed as f64 * 3.0));
-        let first = run_supervised(&cfg, &Supervision::default(), &js, None, exec);
+        let first = run_supervised(&cfg, &Supervision::default(), &js, None, None, exec);
         assert_eq!(first.manifest.cache_misses, 4);
 
         // Flip a byte in job 2's entry without breaking its JSON shape.
@@ -1077,7 +1100,7 @@ mod tests {
         let tampered = std::fs::read_to_string(&path).unwrap().replace("6", "7");
         std::fs::write(&path, tampered).unwrap();
 
-        let second = run_supervised(&cfg, &Supervision::default(), &js, None, exec);
+        let second = run_supervised(&cfg, &Supervision::default(), &js, None, None, exec);
         assert_eq!(second.manifest.cache_hits, 3);
         assert_eq!(second.manifest.cache_misses, 1, "corrupt entry recomputed");
         assert_eq!(second.manifest.failed, 0);
@@ -1091,7 +1114,7 @@ mod tests {
             .join(format!("{key:016x}.json"))
             .exists());
         // Third run: fully healed, all hits.
-        let third = run_supervised(&cfg, &Supervision::default(), &js, None, exec);
+        let third = run_supervised(&cfg, &Supervision::default(), &js, None, None, exec);
         assert_eq!(third.manifest.cache_hits, 4);
         assert!(third.manifest.failures.is_empty());
         let _ = std::fs::remove_dir_all(&dir);
@@ -1112,7 +1135,7 @@ mod tests {
             journal: Some(journal.clone()),
             ..Supervision::default()
         };
-        let full = run_supervised(&no_cache(2), &sup, &js, None, exec);
+        let full = run_supervised(&no_cache(2), &sup, &js, None, None, exec);
         assert_eq!(executions.load(Ordering::SeqCst), 6);
 
         // Simulate a crash after 3 completions: keep header + 3 entries
@@ -1126,7 +1149,7 @@ mod tests {
             resume: true,
             ..Supervision::default()
         };
-        let resumed = run_supervised(&no_cache(2), &resume, &js, None, exec);
+        let resumed = run_supervised(&no_cache(2), &resume, &js, None, None, exec);
         assert_eq!(resumed.manifest.journal_hits, 3);
         assert_eq!(resumed.manifest.cache_misses, 3);
         assert_eq!(
@@ -1141,7 +1164,7 @@ mod tests {
         assert_eq!(resumed.manifest.failures.journal_hits, 3);
 
         // A third resume replays everything.
-        let third = run_supervised(&no_cache(2), &resume, &js, None, exec);
+        let third = run_supervised(&no_cache(2), &resume, &js, None, None, exec);
         assert_eq!(third.manifest.journal_hits, 6);
         assert_eq!(executions.load(Ordering::SeqCst), 9);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1158,7 +1181,7 @@ mod tests {
             resume: true,
             ..Supervision::default()
         };
-        run_supervised(&no_cache(1), &sup, &jobs(3), None, exec);
+        run_supervised(&no_cache(1), &sup, &jobs(3), None, None, exec);
         // Different job set: the stale journal must not be replayed.
         let other: Vec<JobSpec> = jobs(3)
             .into_iter()
@@ -1167,9 +1190,126 @@ mod tests {
                 j
             })
             .collect();
-        let report = run_supervised(&no_cache(1), &sup, &other, None, exec);
+        let report = run_supervised(&no_cache(1), &sup, &other, None, None, exec);
         assert_eq!(report.manifest.journal_hits, 0);
         assert_eq!(report.manifest.cache_misses, 3);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_sweeps_on_one_cache_reproduce_their_solo_digests() {
+        let dir = std::env::temp_dir().join(format!("liteworp-sup-conc-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // Sweeps 0/2 and 1/3 share their jobs, so pairs race on the same
+        // cache entries.
+        let sweep = |k: usize| -> Vec<JobSpec> {
+            jobs(8)
+                .into_iter()
+                .map(|mut j| {
+                    j.scenario = format!("sup-conc-{}", k % 2);
+                    j
+                })
+                .collect()
+        };
+        let exec = |j: &JobSpec, derived: u64, _: &JobContext| {
+            Ok(Val((j.seed as f64) + (derived % 7) as f64))
+        };
+        let digest = |cfg: &RunConfig, k: usize| {
+            run_supervised(cfg, &Supervision::default(), &sweep(k), None, None, exec)
+                .manifest
+                .results_digest
+        };
+        let solo: Vec<u64> = (0..4).map(|k| digest(&no_cache(2), k)).collect();
+        assert_ne!(solo[0], solo[1], "the two job sets differ");
+
+        let shared = RunConfig {
+            threads: 2,
+            cache: Some(ResultCache::new(&dir)),
+            code_version: "sup-test-v1".into(),
+        };
+        let concurrent: Vec<u64> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|k| {
+                    let shared = &shared;
+                    scope.spawn(move || digest(shared, k))
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(solo, concurrent, "concurrent sweeps do not perturb digests");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn observer_sees_every_job_once_with_its_provenance() {
+        let dir = std::env::temp_dir().join(format!("liteworp-sup-obs-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let journal = dir.join("sweep.jsonl");
+        let cfg = RunConfig {
+            threads: 2,
+            cache: Some(ResultCache::new(dir.join("cache"))),
+            code_version: "sup-test-v1".into(),
+        };
+        let js = jobs(6);
+        let exec = |j: &JobSpec, _: u64, _: &JobContext| Ok(Val(j.seed as f64));
+        let seen = std::sync::Mutex::new(Vec::<JobProgress>::new());
+        let observer = |p: JobProgress| seen.lock().unwrap().push(p);
+        let take_sorted = || {
+            let mut events = std::mem::take(&mut *seen.lock().unwrap());
+            events.sort_by_key(|p| p.index);
+            let indices: Vec<usize> = events.iter().map(|p| p.index).collect();
+            assert_eq!(indices, (0..6).collect::<Vec<_>>(), "each job exactly once");
+            assert!(events
+                .iter()
+                .all(|p| p.total == 6 && p.seed == p.index as u64));
+            events
+        };
+
+        // First run: seed 5 is quarantined, the rest execute fresh.
+        let hook = Transient {
+            targets: vec![5],
+            faulty: 9,
+        };
+        let sup = Supervision {
+            journal: Some(journal.clone()),
+            ..Supervision::default()
+        };
+        run_supervised(&cfg, &sup, &js, Some(&hook), Some(&observer), exec);
+        for p in take_sorted() {
+            assert_eq!(p.ok, p.seed != 5, "{p:?}");
+            assert!(!p.cached && !p.journaled, "{p:?}");
+        }
+
+        // Keep only the journal header and seeds 0 and 1, then resume:
+        // those replay from the journal, 2..=4 hit the cache, and the
+        // quarantined seed 5 executes fresh.
+        let text = std::fs::read_to_string(&journal).unwrap();
+        let mut lines = text.lines();
+        let mut kept = vec![lines.next().unwrap().to_string()];
+        kept.extend(
+            lines
+                .filter(|l| Json::parse(l).unwrap().get("seed").and_then(Json::as_u64) < Some(2))
+                .map(str::to_string),
+        );
+        std::fs::write(&journal, format!("{}\n", kept.join("\n"))).unwrap();
+        let resume = Supervision {
+            resume: true,
+            ..sup
+        };
+        let report = run_supervised(&cfg, &resume, &js, None, Some(&observer), exec);
+        assert_eq!(
+            (
+                report.manifest.journal_hits,
+                report.manifest.cache_hits,
+                report.manifest.cache_misses
+            ),
+            (2, 3, 1)
+        );
+        for p in take_sorted() {
+            assert!(p.ok, "{p:?}");
+            assert_eq!(p.journaled, p.seed < 2, "{p:?}");
+            assert_eq!(p.cached, (2..5).contains(&p.seed), "{p:?}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1185,7 +1325,7 @@ mod tests {
             backoff_base_us: 0,
             ..Supervision::default()
         };
-        let report = run_supervised(&no_cache(2), &sup, &js, Some(&hook), |j, _, _| {
+        let report = run_supervised(&no_cache(2), &sup, &js, Some(&hook), None, |j, _, _| {
             Ok(Val(j.seed as f64))
         });
         let json = report.manifest.to_json();

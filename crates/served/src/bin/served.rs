@@ -2,12 +2,14 @@
 //!
 //! Plain mode listens on a TCP socket, speaks the length-delimited JSONL
 //! protocol (`submit`, `status`, `cancel`, `subscribe`, `stats`,
-//! `shards`, `ping`, `shutdown`), and serves every request from one warm
-//! engine: shared worker pool, shared result cache, one resume journal
-//! per in-flight request.
+//! `shards`, `ping`, `shutdown`), and serves every request through the
+//! runner's one executor: shared result cache, one resume journal per
+//! in-flight request, and a worker pool per drain.
 //!
 //! Flags: --addr HOST:PORT (127.0.0.1:0), --state-dir DIR
-//!        (results/served), --jobs N (all cores), --drainers N (2),
+//!        (results/served), --jobs N (worker threads per drain; all
+//!        cores), --drainers N (concurrent sweeps; 2) — at most
+//!        drainers × jobs job threads run at once,
 //!        --resume, --no-cache, --metrics-interval SECS (off; broadcast
 //!        a `{"stream":"metrics",…}` frame to subscribers this often),
 //!        --stall-accept-secs SECS (chaos hook: stall the accept loop

@@ -156,9 +156,9 @@ struct FrontState {
     registry: Mutex<BTreeMap<u64, RoutedReq>>,
     shutdown: AtomicBool,
     /// The front's own listen address.
-    front_addr: SocketAddr,
-    /// The in-process fallback engine's listen address.
     local_addr: SocketAddr,
+    /// The in-process fallback daemon's listen address.
+    fallback_addr: SocketAddr,
     metrics: FrontMetrics,
     state_dir: PathBuf,
     started_us: u64,
@@ -172,7 +172,7 @@ impl FrontState {
     fn begin_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         // Unblock the accept loop with a throwaway connection.
-        let _ = TcpStream::connect(self.front_addr);
+        let _ = TcpStream::connect(self.local_addr);
     }
 }
 
@@ -225,8 +225,8 @@ impl Front {
             shards: slots,
             registry: Mutex::new(BTreeMap::new()),
             shutdown: AtomicBool::new(false),
-            front_addr,
-            local_addr: local.local_addr(),
+            local_addr: front_addr,
+            fallback_addr: local.local_addr(),
             metrics: FrontMetrics::new(),
             state_dir: cfg.state_dir.clone(),
             started_us: obs::clock::now_micros(),
@@ -256,7 +256,7 @@ impl Front {
 
     /// The front's bound address (resolves port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.state.front_addr
+        self.state.local_addr
     }
 
     /// Initiates shutdown: the supervisor shuts the worker ring down
@@ -307,7 +307,7 @@ fn pick_target(state: &FrontState, key: u64, exclude: Option<usize>) -> Target {
 
 fn target_addr(state: &FrontState, target: Target) -> Option<SocketAddr> {
     match target {
-        Target::Local => Some(state.local_addr),
+        Target::Local => Some(state.fallback_addr),
         Target::Shard(id) => state.shards[id].routable_addr(),
     }
 }
@@ -656,7 +656,7 @@ fn front_stats_pairs(state: &FrontState) -> Vec<(String, Json)> {
         ("shards".to_string(), shards_json(state)),
         (
             "local".to_string(),
-            Json::object([("addr", Json::from(state.local_addr.to_string()))]),
+            Json::object([("addr", Json::from(state.fallback_addr.to_string()))]),
         ),
         ("metrics".to_string(), obs::snapshot().to_json()),
     ]
@@ -764,8 +764,8 @@ fn handle_connection(stream: TcpStream, state: Arc<FrontState>) -> std::io::Resu
 /// protocol client. Best-effort; refreshed on every health change.
 fn publish(state: &FrontState) {
     let manifest = Json::object([
-        ("front", Json::from(state.front_addr.to_string())),
-        ("local", Json::from(state.local_addr.to_string())),
+        ("front", Json::from(state.local_addr.to_string())),
+        ("local", Json::from(state.fallback_addr.to_string())),
         ("shards", shards_json(state)),
     ])
     .dump();
@@ -951,9 +951,9 @@ fn reroute_orphans(state: &Arc<FrontState>, dead: usize) {
 /// Shuts the worker ring down: graceful protocol shutdown where the
 /// worker still answers, SIGKILL otherwise, then reap every child.
 fn shutdown_workers(state: &FrontState, children: &mut [Option<Child>]) {
-    for id in 0..children.len() {
-        let addr = state.shards[id].snapshot().addr;
-        if let Some(mut child) = children[id].take() {
+    for (slot, child_slot) in state.shards.iter().zip(children.iter_mut()) {
+        let addr = slot.snapshot().addr;
+        if let Some(mut child) = child_slot.take() {
             let graceful = addr
                 .map(|a| shard::forward(a, r#"{"op":"shutdown"}"#).is_ok())
                 .unwrap_or(false);

@@ -1,10 +1,12 @@
 //! `liteworp-served`: a long-lived sweep-service daemon for the LITEWORP
 //! reproduction.
 //!
-//! Instead of one process per experiment, the daemon keeps a warm
-//! [`liteworp_runner::SweepEngine`] — persistent worker pool, shared
-//! content-addressed result cache, per-request resume journals — and
-//! serves experiment sweeps to many concurrent clients over a
+//! Instead of one process per experiment, the daemon keeps its runner
+//! state warm — shared content-addressed result cache, per-request
+//! resume journals — and runs each request's sweep through the batch
+//! bins' own executor ([`liteworp_runner::run_supervised`]) on a scoped
+//! worker pool of its own, so at most `drainers × jobs` job threads run
+//! at once. It serves experiment sweeps to many concurrent clients over a
 //! length-delimited JSONL socket protocol (`submit`, `status`, `cancel`,
 //! `subscribe`, `stats`, `ping`, `shutdown`; see `EXPERIMENTS.md`
 //! §"Served mode").

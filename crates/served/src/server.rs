@@ -1,6 +1,6 @@
 //! The sweep-service daemon: accepts JSONL-framed requests over TCP,
-//! multiplexes them over one shared [`SweepEngine`], and streams progress
-//! to subscribers.
+//! runs each request's sweep through the runner's one executor, and
+//! streams progress to subscribers.
 //!
 //! # Request lifecycle
 //!
@@ -8,8 +8,9 @@
 //! content ([`crate::proto::request_key`]), WAL-logged, and enqueued;
 //! duplicates of a live or finished request are deduplicated to the
 //! existing one (`"dedup": true`). Drainer threads pop keys and execute
-//! each request's sweep on the shared engine — same jobs, same derived
-//! seeds, same cache keys as the batch bins, so a daemon-served sweep
+//! each request's sweep through the batch bins' own path
+//! ([`run_cells_observed`] → `run_supervised` → `pool::run`) — same jobs,
+//! same derived seeds, same cache keys, so a daemon-served sweep
 //! reproduces the batch `results_digest` byte for byte. Each request
 //! journals to its own WAL under `state_dir/journals/`, so a daemon
 //! killed mid-sweep resumes the request from its last completed job on
@@ -17,19 +18,21 @@
 //!
 //! # Shared state
 //!
-//! One [`SweepEngine`] (pool + result cache) serves every request; the
-//! request registry, queue, and request WAL are daemon-global. Per-client
-//! state is only the connection handler's socket.
+//! One [`RunConfig`] (worker count + result cache + code version) serves
+//! every request; the request registry, queue, and request WAL are
+//! daemon-global. Per-client state is only the connection handler's
+//! socket. Each drain runs on its own scoped pool of `threads` workers,
+//! so a daemon runs at most `drainers × threads` job threads at once.
 
 use crate::frame::{read_frame_paced, write_frame, FrameError};
 use crate::net;
 use crate::proto::{err_response, format_key, ok_response, request_key, Request};
 use crate::state::{DoneInfo, ReqPhase, RequestState, RequestWal, WalRecord};
 use liteworp_bench::catalog;
-use liteworp_bench::exec::{run_cells_on, SimCell, SIM_CODE_VERSION};
+use liteworp_bench::exec::{run_cells_observed, SimCell, SIM_CODE_VERSION};
 use liteworp_obs as obs;
 use liteworp_runner::supervisor::Supervision;
-use liteworp_runner::{Json, ProgressObserver, ResultCache, SweepEngine};
+use liteworp_runner::{pool, JobProgress, Json, ResultCache, RunConfig};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -42,7 +45,8 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 pub struct ServerConfig {
     /// Listen address; port 0 picks a free port (printed on startup).
     pub addr: String,
-    /// Engine worker threads (`None` = `LITEWORP_JOBS` / core count).
+    /// Worker threads per drain (`None` = `LITEWORP_JOBS` / core
+    /// count); each drainer runs its sweep on its own pool of this size.
     pub threads: Option<usize>,
     /// Where the daemon keeps its cache, journals, and request WAL.
     pub state_dir: PathBuf,
@@ -135,7 +139,7 @@ impl Drop for GaugeHold {
 }
 
 struct DaemonState {
-    engine: SweepEngine,
+    runner: RunConfig,
     registry: Mutex<BTreeMap<u64, Arc<RequestState>>>,
     queue: Mutex<VecDeque<u64>>,
     work: Condvar,
@@ -208,14 +212,17 @@ impl Server {
             (RequestWal::open(&wal_path)?, Vec::new())
         };
 
-        let cache = (!cfg.no_cache).then(|| ResultCache::new(cfg.state_dir.join("cache")));
-        let engine = SweepEngine::new(cfg.threads, cache, SIM_CODE_VERSION);
+        let runner = RunConfig {
+            threads: pool::resolve_threads(cfg.threads),
+            cache: (!cfg.no_cache).then(|| ResultCache::new(cfg.state_dir.join("cache"))),
+            code_version: SIM_CODE_VERSION.to_string(),
+        };
 
         let listener = TcpListener::bind(&cfg.addr)?;
         let local_addr = listener.local_addr()?;
 
         let state = Arc::new(DaemonState {
-            engine,
+            runner,
             registry: Mutex::new(BTreeMap::new()),
             queue: Mutex::new(VecDeque::new()),
             work: Condvar::new(),
@@ -388,7 +395,7 @@ fn drain_loop(state: Arc<DaemonState>) {
     }
 }
 
-/// Executes one request's sweep on the shared engine.
+/// Executes one request's sweep on this drainer's own worker pool.
 fn drain_one(state: &DaemonState, key: u64) {
     let Some(req) = lock(&state.registry).get(&key).cloned() else {
         return;
@@ -415,27 +422,24 @@ fn drain_one(state: &DaemonState, key: u64) {
         resume: true,
         ..Supervision::default()
     };
-    let observer: Arc<ProgressObserver> = {
-        let req = Arc::clone(&req);
-        Arc::new(move |p| {
-            let frame = Json::object([
-                ("stream", Json::from("progress")),
-                ("req", Json::from(format_key(req.key))),
-                ("index", Json::from(p.index)),
-                ("total", Json::from(p.total)),
-                ("label", Json::from(p.label)),
-                ("ok", Json::from(p.ok)),
-                ("cached", Json::from(p.cached)),
-                ("journaled", Json::from(p.journaled)),
-            ])
-            .dump();
-            req.broadcast(&frame);
-        })
+    let observer = |p: JobProgress| {
+        let frame = Json::object([
+            ("stream", Json::from("progress")),
+            ("req", Json::from(format_key(req.key))),
+            ("index", Json::from(p.index)),
+            ("total", Json::from(p.total)),
+            ("label", Json::from(p.label)),
+            ("ok", Json::from(p.ok)),
+            ("cached", Json::from(p.cached)),
+            ("journaled", Json::from(p.journaled)),
+        ])
+        .dump();
+        req.broadcast(&frame);
     };
 
     let run = {
         let _sweep_span = obs::span("sweep");
-        run_cells_on(&state.engine, &cells, &sup, Some(observer))
+        run_cells_observed(&cells, &state.runner, &sup, &observer)
     };
     let m = &run.manifest;
     state.metrics.jobs_total.add(m.jobs as u64);

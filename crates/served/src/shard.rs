@@ -207,9 +207,10 @@ pub fn spawn_worker(
         cmd.arg("--resume");
     }
     let mut child = cmd.stdout(Stdio::piped()).stderr(Stdio::null()).spawn()?;
-    let stdout = child.stdout.take().ok_or_else(|| {
-        std::io::Error::new(std::io::ErrorKind::Other, "worker stdout not captured")
-    })?;
+    let stdout = child
+        .stdout
+        .take()
+        .ok_or_else(|| std::io::Error::other("worker stdout not captured"))?;
     let mut line = String::new();
     BufReader::new(stdout).read_line(&mut line)?;
     let addr = line

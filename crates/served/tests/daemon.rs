@@ -253,6 +253,25 @@ fn a_deeply_nested_frame_gets_a_typed_error_and_the_daemon_lives_on() {
 }
 
 #[test]
+fn an_out_of_range_submit_gets_a_typed_error_and_the_daemon_lives_on() {
+    let dir = temp_dir("range");
+    let daemon = Daemon::start(&dir, false);
+    let mut client = Client::connect(&daemon.addr);
+    // `sample_every: 0` once spun the submit handler in an endless
+    // sample-grid loop until the process ran out of memory.
+    let response = client.exchange(r#"{"op":"submit","kind":"fig8","params":{"sample_every":0}}"#);
+    assert_eq!(response.get("ok").and_then(Json::as_bool), Some(false));
+    let error = response.get("error").and_then(Json::as_str).expect("error");
+    assert!(error.contains("sample_every"), "{error}");
+
+    let mut fresh = Client::connect(&daemon.addr);
+    fresh.ok(r#"{"op":"ping"}"#);
+    fresh.ok(r#"{"op":"shutdown"}"#);
+    daemon.wait();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn a_wal_torn_inside_a_utf8_character_is_cut_back_and_replayed_on_resume() {
     let dir = temp_dir("wal-utf8");
     let daemon = Daemon::start(&dir, false);

@@ -35,8 +35,10 @@ if [ "$lint_elapsed_ms" -gt $(( LINT_BUDGET_SECS * 1000 )) ]; then
     exit 1
 fi
 
-echo "==> cargo clippy (all targets, warnings are errors)"
-cargo clippy --all-targets --offline -- -D warnings
+echo "==> cargo clippy (whole workspace, all targets, warnings are errors)"
+# --workspace for the same reason as the build and test steps: a bare
+# clippy lints only the root package.
+cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "==> cargo doc (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -q
